@@ -57,9 +57,14 @@ class PossibleOutcome:
 
     @cached_property
     def full_rules(self) -> tuple[Rule, ...]:
-        """The ground program ``Σ ∪ G(Σ)`` with AtR TGDs read as plain rules."""
-        atr_plain = tuple(sorted((r.as_rule() for r in self.atr_rules), key=Rule.sort_key))
-        return tuple(sorted(self.grounding, key=Rule.sort_key)) + atr_plain
+        """The ground program ``Σ ∪ G(Σ)`` with AtR TGDs read as plain rules.
+
+        The grounding followed by the AtR rules, in no particular order:
+        stable models are sets and outcome masses are ``math.fsum``-ed, so
+        nothing downstream observes the order, and sorting every outcome's
+        whole grounding would be pure cost.
+        """
+        return tuple(self.grounding) + tuple(r.as_rule() for r in self.atr_rules)
 
     def ground_program(self) -> GroundProgram:
         return GroundProgram(self.full_rules)
@@ -92,8 +97,8 @@ class PossibleOutcome:
         """``sms(Σ ∪ G(Σ))``: the (possibly empty) set of stable models of the outcome.
 
         Solved through the process-wide memoized solver: outcomes with the
-        same canonicalized ground program (e.g. the same configuration
-        re-sampled by the Monte-Carlo sampler) are solved once.
+        same ground rule set (e.g. the same configuration re-sampled by the
+        Monte-Carlo sampler) are solved once.
         """
         return frozenset(shared_solver().enumerate(self.ground_program()))
 

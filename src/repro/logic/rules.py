@@ -83,11 +83,17 @@ class Rule:
 
     @property
     def is_ground(self) -> bool:
-        return (
-            self.head.is_ground
-            and all(a.is_ground for a in self.positive_body)
-            and all(a.is_ground for a in self.negative_body)
-        )
+        # Every ground program re-validates its rules, and interned ground
+        # rules are shared by many programs; memoize (safe: rules are immutable).
+        cached = self.__dict__.get("_ground")
+        if cached is None:
+            cached = (
+                self.head.is_ground
+                and all(a.is_ground for a in self.positive_body)
+                and all(a.is_ground for a in self.negative_body)
+            )
+            object.__setattr__(self, "_ground", cached)
+        return cached
 
     def body_literals(self) -> tuple[Literal, ...]:
         """The body as a tuple of literals (positives first)."""

@@ -46,14 +46,16 @@ class GroundProgram:
         return len(self.rules)
 
     @cached_property
-    def canonical_key(self) -> tuple:
+    def canonical_key(self) -> frozenset[Rule]:
         """A canonical structural key: equal iff the rule *sets* are equal.
 
-        Built from the cheap per-rule :meth:`~repro.logic.rules.Rule.sort_key`
-        (no stringification); used by the stable-model solver to memoize
-        enumeration results across structurally equal ground programs.
+        The ``frozenset`` of the program's rules: order-free, hashed from
+        the rules' memoized hashes and sharing the rule objects themselves,
+        so a stable-model memo entry keyed on it holds one hash table rather
+        than a copy of the program.  Used by the stable-model solver to
+        memoize enumeration results across equal ground programs.
         """
-        return tuple(sorted({r.sort_key() for r in self.rules}))
+        return frozenset(self.rules)
 
     @property
     def facts(self) -> tuple[Rule, ...]:

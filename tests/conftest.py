@@ -12,6 +12,10 @@ import pytest
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+# The reference oracles under tests/oracles/ import as ``oracles.*``.
+_TESTS = Path(__file__).resolve().parent
+if str(_TESTS) not in sys.path:
+    sys.path.append(str(_TESTS))
 
 from repro import GDatalogEngine  # noqa: E402
 from repro.logic import Database, parse_database, parse_gdatalog_program  # noqa: E402
